@@ -78,10 +78,13 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	// ways holds, per set, the resident line IDs in LRU order
-	// (index 0 = most recently used). A zero entry means "empty" and is
-	// disambiguated by the valid bitmask.
+	// (index 0 = most recently used). Only the first fill[set] ways of a
+	// set are valid: a miss fills the MRU way and only Flush invalidates,
+	// and it invalidates every way, so the valid ways are always a prefix.
+	// A count rather than a sentinel line ID keeps every uint64 usable as
+	// a line (LineBytes 1 makes every address one).
 	ways  []uint64
-	valid []bool
+	fill  []int32
 	assoc int
 	stats Stats
 }
@@ -103,7 +106,7 @@ func New(cfg Config) *Cache {
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		ways:      make([]uint64, sets*cfg.Assoc),
-		valid:     make([]bool, sets*cfg.Assoc),
+		fill:      make([]int32, sets),
 		assoc:     cfg.Assoc,
 	}
 }
@@ -123,10 +126,11 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) RestoreStats(s Stats) { c.stats = s }
 
 // State is a deep snapshot of a cache's full mutable state: resident lines,
-// LRU order, valid bits and counters. It is opaque; use Checkpoint/Restore.
+// LRU order, per-set fill counts and counters. It is opaque; use
+// Checkpoint/Restore.
 type State struct {
 	ways  []uint64
-	valid []bool
+	fill  []int32
 	stats Stats
 }
 
@@ -137,11 +141,11 @@ type State struct {
 func (c *Cache) Checkpoint() State {
 	s := State{
 		ways:  make([]uint64, len(c.ways)),
-		valid: make([]bool, len(c.valid)),
+		fill:  make([]int32, len(c.fill)),
 		stats: c.stats,
 	}
 	copy(s.ways, c.ways)
-	copy(s.valid, c.valid)
+	copy(s.fill, c.fill)
 	return s
 }
 
@@ -149,20 +153,18 @@ func (c *Cache) Checkpoint() State {
 // must come from a cache of the same geometry; restoring a snapshot from a
 // differently shaped cache panics.
 func (c *Cache) Restore(s State) {
-	if len(s.ways) != len(c.ways) || len(s.valid) != len(c.valid) {
-		panic(fmt.Sprintf("cache: checkpoint geometry mismatch: %d/%d lines vs %d/%d",
-			len(s.ways), len(s.valid), len(c.ways), len(c.valid)))
+	if len(s.ways) != len(c.ways) || len(s.fill) != len(c.fill) {
+		panic(fmt.Sprintf("cache: checkpoint geometry mismatch: %d lines in %d sets vs %d in %d",
+			len(s.ways), len(s.fill), len(c.ways), len(c.fill)))
 	}
 	copy(c.ways, s.ways)
-	copy(c.valid, s.valid)
+	copy(c.fill, s.fill)
 	c.stats = s.stats
 }
 
 // Flush invalidates every line and leaves the counters untouched.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
+	clear(c.fill)
 }
 
 // LineBytes returns the line size in bytes.
@@ -171,22 +173,30 @@ func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 // accessLine looks up (and on miss, fills) the given line ID,
 // maintaining LRU order. It reports whether the access hit.
 func (c *Cache) accessLine(line uint64) bool {
-	set := int(line&c.setMask) * c.assoc
-	ways := c.ways[set : set+c.assoc]
-	valid := c.valid[set : set+c.assoc]
-	for i := 0; i < c.assoc; i++ {
-		if valid[i] && ways[i] == line {
-			// Move to MRU position.
-			copy(ways[1:i+1], ways[0:i])
-			ways[0] = line
+	set := int(line & c.setMask)
+	ways := c.ways[set*c.assoc : (set+1)*c.assoc]
+	n := int(c.fill[set])
+	// Scan the valid ways from MRU; a hit moves the line to MRU.
+	valid := ways[:n]
+	for i, w := range valid {
+		if w == line {
+			for ; i > 0; i-- {
+				valid[i] = valid[i-1]
+			}
+			valid[0] = line
 			return true
 		}
 	}
-	// Miss: evict LRU (last way), shift, insert at MRU.
-	copy(ways[1:], ways[:c.assoc-1])
-	copy(valid[1:], valid[:c.assoc-1])
-	ways[0] = line
-	valid[0] = true
+	// Miss: fill a free way or evict the LRU one, shift, insert at MRU.
+	if n < len(ways) {
+		n++
+		c.fill[set] = int32(n)
+	}
+	valid = ways[:n]
+	for i := n - 1; i > 0; i-- {
+		valid[i] = valid[i-1]
+	}
+	valid[0] = line
 	return false
 }
 
@@ -204,28 +214,34 @@ func (c *Cache) Access(addr uint64) bool {
 
 // AccessRange simulates n accesses starting at base with the given byte
 // stride between consecutive accesses, and returns the hit and miss counts
-// for this stream. Consecutive accesses that fall on the same line as the
-// previous access are counted as hits without a directory lookup, which is
-// exact for monotone streams.
+// for this stream. An access that falls on the same line as the previous
+// one is counted as a hit without a directory lookup. That is exact for any
+// stream: the previous access left the line resident at MRU, so the lookup
+// would hit and change nothing.
 func (c *Cache) AccessRange(base uint64, n, strideBytes int) (hits, misses uint64) {
 	if n <= 0 {
 		return 0, 0
 	}
-	lastLine := ^uint64(0)
+	lastLine := base >> c.lineShift
+	if c.accessLine(lastLine) {
+		hits++
+	} else {
+		misses++
+	}
 	addr := base
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
+		addr += uint64(strideBytes)
 		line := addr >> c.lineShift
 		if line == lastLine {
 			hits++
-		} else {
-			lastLine = line
-			if c.accessLine(line) {
-				hits++
-			} else {
-				misses++
-			}
+			continue
 		}
-		addr += uint64(strideBytes)
+		lastLine = line
+		if c.accessLine(line) {
+			hits++
+		} else {
+			misses++
+		}
 	}
 	c.stats.Accesses += uint64(n)
 	c.stats.Hits += hits
@@ -233,23 +249,13 @@ func (c *Cache) AccessRange(base uint64, n, strideBytes int) (hits, misses uint6
 	return hits, misses
 }
 
-// Touch loads the [base, base+bytes) range sequentially, warming the cache.
-// It is the write-allocate analog of initializing an array.
-func (c *Cache) Touch(base uint64, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	n := (bytes + c.cfg.LineBytes - 1) / c.cfg.LineBytes
-	c.AccessRange(base, n, c.cfg.LineBytes)
-}
-
 // Resident reports whether the line containing addr is currently cached,
 // without affecting LRU order or counters.
 func (c *Cache) Resident(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := int(line&c.setMask) * c.assoc
-	for i := 0; i < c.assoc; i++ {
-		if c.valid[set+i] && c.ways[set+i] == line {
+	set := int(line & c.setMask)
+	for _, w := range c.ways[set*c.assoc : set*c.assoc+int(c.fill[set])] {
+		if w == line {
 			return true
 		}
 	}

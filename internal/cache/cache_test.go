@@ -285,3 +285,210 @@ func BenchmarkAccessRangeStrided(b *testing.B) {
 		c.AccessRange(0, 8192, 1024)
 	}
 }
+
+// refCache is the reference model the equivalence test drives next to
+// Cache: a parallel valid bit per way, every way scanned on lookup, and
+// copy-based LRU shifts. AccessRange looks up every access, without the
+// same-line shortcut, so the test also proves that shortcut exact.
+type refCache struct {
+	lineShift uint
+	setMask   uint64
+	ways      []uint64
+	valid     []bool
+	assoc     int
+	stats     Stats
+}
+
+type refState struct {
+	ways  []uint64
+	valid []bool
+	stats Stats
+}
+
+func newRefCache(cfg Config) *refCache {
+	shift := uint(0)
+	for 1<<shift != cfg.LineBytes {
+		shift++
+	}
+	sets := cfg.Sets()
+	return &refCache{
+		lineShift: shift,
+		setMask:   uint64(sets - 1),
+		ways:      make([]uint64, sets*cfg.Assoc),
+		valid:     make([]bool, sets*cfg.Assoc),
+		assoc:     cfg.Assoc,
+	}
+}
+
+func (c *refCache) accessLine(line uint64) bool {
+	set := int(line&c.setMask) * c.assoc
+	ways := c.ways[set : set+c.assoc]
+	valid := c.valid[set : set+c.assoc]
+	for i := 0; i < c.assoc; i++ {
+		if valid[i] && ways[i] == line {
+			copy(ways[1:i+1], ways[0:i])
+			ways[0] = line
+			return true
+		}
+	}
+	copy(ways[1:], ways[:c.assoc-1])
+	copy(valid[1:], valid[:c.assoc-1])
+	ways[0] = line
+	valid[0] = true
+	return false
+}
+
+func (c *refCache) Access(addr uint64) bool {
+	c.stats.Accesses++
+	if c.accessLine(addr >> c.lineShift) {
+		c.stats.Hits++
+		return true
+	}
+	c.stats.Misses++
+	return false
+}
+
+func (c *refCache) AccessRange(base uint64, n, strideBytes int) (hits, misses uint64) {
+	for i := 0; i < n; i++ {
+		if c.Access(base + uint64(i)*uint64(strideBytes)) {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	return hits, misses
+}
+
+func (c *refCache) Resident(addr uint64) bool {
+	line := addr >> c.lineShift
+	set := int(line&c.setMask) * c.assoc
+	for i := 0; i < c.assoc; i++ {
+		if c.valid[set+i] && c.ways[set+i] == line {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Flush() {
+	for i := range c.valid {
+		c.valid[i] = false
+	}
+}
+
+func (c *refCache) Checkpoint() refState {
+	return refState{
+		ways:  append([]uint64(nil), c.ways...),
+		valid: append([]bool(nil), c.valid...),
+		stats: c.stats,
+	}
+}
+
+func (c *refCache) Restore(s refState) {
+	copy(c.ways, s.ways)
+	copy(c.valid, s.valid)
+	c.stats = s.stats
+}
+
+// TestMatchesReferenceModel drives Cache and refCache with the same random
+// interleaving of every public operation and requires identical return
+// values and Stats after each one. Streams use strides below one line,
+// above one line, and negative or wrapping past the top of the address
+// space; bases near 2^64 make LineBytes 1 reach line ID 2^64-1.
+func TestMatchesReferenceModel(t *testing.T) {
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"direct mapped", Config{SizeBytes: 1024, LineBytes: 64, Assoc: 1}},
+		{"8-way", Config{SizeBytes: 4096, LineBytes: 64, Assoc: 8}},
+		{"fully associative", Config{SizeBytes: 2048, LineBytes: 64, Assoc: 32}},
+		{"line 1 byte", Config{SizeBytes: 64, LineBytes: 1, Assoc: 4}},
+		{"line 1 byte fully associative", Config{SizeBytes: 16, LineBytes: 1, Assoc: 16}},
+	}
+	for _, tc := range cfgs {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				checkAgainstReference(t, tc.cfg, seed, 2000)
+			}
+		})
+	}
+}
+
+func checkAgainstReference(t *testing.T, cfg Config, seed int64, ops int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c, ref := New(cfg), newRefCache(cfg)
+	line := uint64(cfg.LineBytes)
+	// Footprint of a few cache capacities, so hits, conflicts and capacity
+	// misses all happen.
+	span := uint64(4 * cfg.SizeBytes)
+	addr := func() uint64 {
+		switch rng.Intn(8) {
+		case 0:
+			return ^uint64(0) - uint64(rng.Intn(int(2*line)+8)) // top of the address space
+		case 1:
+			return uint64(rng.Intn(int(2*line) + 8))
+		default:
+			return uint64(rng.Int63n(int64(span)))
+		}
+	}
+	stride := func() int {
+		switch rng.Intn(5) {
+		case 0:
+			return rng.Intn(int(line)) // below one line, including 0
+		case 1:
+			return int(line) + rng.Intn(4*int(line)) // above one line
+		case 2:
+			return int(line) * (1 + rng.Intn(cfg.Sets()+1)) // whole lines, set-conflicting
+		case 3:
+			return -1 - rng.Intn(3*int(line)) // negative: wraps through zero
+		default:
+			return rng.Intn(int(span))
+		}
+	}
+	type saved struct {
+		got  State
+		want refState
+	}
+	var snaps []saved
+	for op := 0; op < ops; op++ {
+		switch k := rng.Intn(20); {
+		case k < 8:
+			a := addr()
+			if got, want := c.Access(a), ref.Access(a); got != want {
+				t.Fatalf("seed %d op %d: Access(%#x) = %v, want %v", seed, op, a, got, want)
+			}
+		case k < 14:
+			a, n, s := addr(), rng.Intn(300)-2, stride()
+			gh, gm := c.AccessRange(a, n, s)
+			wh, wm := ref.AccessRange(a, n, s)
+			if gh != wh || gm != wm {
+				t.Fatalf("seed %d op %d: AccessRange(%#x, %d, %d) = %d/%d, want %d/%d",
+					seed, op, a, n, s, gh, gm, wh, wm)
+			}
+		case k < 16:
+			a := addr()
+			if got, want := c.Resident(a), ref.Resident(a); got != want {
+				t.Fatalf("seed %d op %d: Resident(%#x) = %v, want %v", seed, op, a, got, want)
+			}
+		case k < 17:
+			snaps = append(snaps, saved{c.Checkpoint(), ref.Checkpoint()})
+		case k < 18:
+			if len(snaps) > 0 {
+				s := snaps[rng.Intn(len(snaps))]
+				c.Restore(s.got)
+				ref.Restore(s.want)
+			}
+		case k < 19:
+			c.Flush()
+			ref.Flush()
+		default:
+			c.ResetStats()
+			ref.stats = Stats{}
+		}
+		if c.Stats() != ref.stats {
+			t.Fatalf("seed %d op %d: Stats = %+v, want %+v", seed, op, c.Stats(), ref.stats)
+		}
+	}
+}

@@ -70,19 +70,40 @@ func (pr ShockInterfaceProblem) StateAt(x, y float64) Prim {
 	case x < pr.interfaceAt(y):
 		return AheadAir()
 	default:
-		return Prim{Rho: pr.DensityRatio, U: 0, V: 0, P: 1, Y: 1}
+		return pr.freon()
 	}
+}
+
+// freon is the quiescent Freon behind the interface, in pressure
+// equilibrium with the air ahead of the shock.
+func (pr ShockInterfaceProblem) freon() Prim {
+	return Prim{Rho: pr.DensityRatio, U: 0, V: 0, P: 1, Y: 1}
 }
 
 // InitBlock fills the block (interior plus ghosts) with the initial
 // condition, given the physical origin (x0, y0) of the first interior cell
 // corner and the cell sizes.
 func (pr ShockInterfaceProblem) InitBlock(b *Block, x0, y0, dx, dy float64) {
+	// The same three states as StateAt, converted once per call; the
+	// interface position depends on y alone, so it is found once per row.
+	post, ahead, freon := ConsFromPrim(PostShockAir(pr.Mach)), ConsFromPrim(AheadAir()), ConsFromPrim(pr.freon())
 	for j := -b.Ng; j < b.Ny+b.Ng; j++ {
+		y := y0 + (float64(j)+0.5)*dy
+		xi := pr.interfaceAt(y)
+		k := b.Idx(-b.Ng, j)
 		for i := -b.Ng; i < b.Nx+b.Ng; i++ {
 			x := x0 + (float64(i)+0.5)*dx
-			y := y0 + (float64(j)+0.5)*dy
-			b.SetPrim(i, j, pr.StateAt(x, y))
+			u := freon
+			switch {
+			case x < pr.ShockX:
+				u = post
+			case x < xi:
+				u = ahead
+			}
+			for v := 0; v < NVars; v++ {
+				b.U[v][k] = u[v]
+			}
+			k++
 		}
 	}
 }

@@ -19,8 +19,8 @@ type EdgeField struct {
 	// Q holds one plane per conserved variable; X faces have
 	// (Nx+1)*Ny entries, Y faces Nx*(Ny+1).
 	Q [NVars][]float64
-	// Iters optionally counts per-face nonlinear-solver iterations
-	// (Godunov); it shares the faces' layout and is nil otherwise.
+	// addr holds per-plane virtual base addresses for cache accounting
+	// (zero when the field is not bound to a simulated processor).
 	addr [NVars]uint64
 }
 
@@ -140,17 +140,24 @@ func States(proc *platform.Proc, b *Block, dir Dir, qL, qR *EdgeField) {
 		qR.NxCells != b.Nx || qR.NyCells != b.Ny {
 		panic("euler: States edge-field geometry mismatch")
 	}
-	if dir == X {
-		for j := 0; j < b.Ny; j++ {
-			for f := 0; f <= b.Nx; f++ {
-				reconstructFace(b, dir, f, j, qL, qR)
+	// Each variable is reconstructed from its own plane alone, so the
+	// planes are walked one after another, a row of faces at a time: an X
+	// face row reads four overlapping windows of one padded cell row, a Y
+	// face row reads the four cell rows around it.
+	nx, ny := b.Nx, b.Ny
+	for v := 0; v < NVars; v++ {
+		u, ql, qr := b.U[v], qL.Q[v], qR.Q[v]
+		if dir == X {
+			for j := 0; j < ny; j++ {
+				k := b.Idx(-2, j)
+				reconstructRow(ql[j*(nx+1):(j+1)*(nx+1)], qr[j*(nx+1):(j+1)*(nx+1)],
+					u[k:], u[k+1:], u[k+2:], u[k+3:])
 			}
+			continue
 		}
-	} else {
-		for i := 0; i < b.Nx; i++ {
-			for f := 0; f <= b.Ny; f++ {
-				reconstructFace(b, dir, f, i, qL, qR)
-			}
+		for f := 0; f <= ny; f++ {
+			reconstructRow(ql[f*nx:(f+1)*nx], qr[f*nx:(f+1)*nx],
+				u[b.Idx(0, f-2):], u[b.Idx(0, f-1):], u[b.Idx(0, f):], u[b.Idx(0, f+1):])
 		}
 	}
 	// Account the work: one read sweep per input plane and one write sweep
@@ -189,22 +196,15 @@ func chargeStatesPass(proc *platform.Proc, b *Block, dir Dir, qL, qR *EdgeField)
 	}
 }
 
-// reconstructFace computes the limited left/right states at face f along
-// dir at transverse index t.
-func reconstructFace(b *Block, dir Dir, f, t int, qL, qR *EdgeField) {
-	var um2, um1, u0, up1 Cons
-	if dir == X {
-		um2, um1 = b.At(f-2, t), b.At(f-1, t)
-		u0, up1 = b.At(f, t), b.At(f+1, t)
-	} else {
-		um2, um1 = b.At(t, f-2), b.At(t, f-1)
-		u0, up1 = b.At(t, f), b.At(t, f+1)
+// reconstructRow writes the limited left and right states of len(ql)
+// faces into ql and qr; face k lies between cells m1[k] and p0[k], with
+// m2[k] and p1[k] the next cells out on either side.
+func reconstructRow(ql, qr, m2, m1, p0, p1 []float64) {
+	n := len(ql)
+	qr, m2, m1, p0, p1 = qr[:n], m2[:n], m1[:n], p0[:n], p1[:n]
+	for k := range ql {
+		um2, um1, u0, up1 := m2[k], m1[k], p0[k], p1[k]
+		ql[k] = um1 + 0.5*minmod(um1-um2, u0-um1)
+		qr[k] = u0 - 0.5*minmod(u0-um1, up1-u0)
 	}
-	var l, r Cons
-	for v := 0; v < NVars; v++ {
-		l[v] = um1[v] + 0.5*minmod(um1[v]-um2[v], u0[v]-um1[v])
-		r[v] = u0[v] - 0.5*minmod(u0[v]-um1[v], up1[v]-u0[v])
-	}
-	qL.setFace(f, t, l)
-	qR.setFace(f, t, r)
 }
