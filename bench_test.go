@@ -417,14 +417,16 @@ func benchCollectiveBody(r *mpi.Rank) {
 // wildcard-heavy rollback stress, on a collective-heavy round loop, and on
 // the Fig. 3 profile workload (the full component application with ghost
 // exchanges). Virtual results are bit-identical by design — the reported
-// wall-clock ratio is the whole point: on a >= 4 core host the compute
-// segment runs >= 2x faster at 8+ ranks under "par" and "opt", because
-// rank compute executes concurrently, and the ghost and collective bodies
-// additionally favor "opt", whose speculative receive and collective paths
-// pipeline the very communication that serializes "par" behind the commit
-// token. The opt sub-benches report speculation telemetry: pipelined ops
-// and rollbacks (ghost), conflicts plus the adaptive window's observed
-// min/max (wildcard), and speculative-collective hits/rollbacks (coll).
+// wall-clock ratio is the whole point. Measured on a 2-CPU host (-count
+// 3), against serial: compute/p8 runs about 1.7x faster under both "par"
+// and "opt" (rank compute executes concurrently); ghost/p8 ties under
+// "par" and is 20–25% slower under "opt"; wildcard/p8 ties under "par"
+// and is about 7.5x slower under "opt" (rollbacks); coll/p16 is about
+// 1.08x faster under "par" and about 1.33x faster under "opt"
+// (speculative collectives). The opt sub-benches report speculation
+// telemetry: pipelined ops and rollbacks (ghost), conflicts plus the
+// adaptive window's observed min/max (wildcard), and
+// speculative-collective hits/rollbacks (coll).
 func BenchmarkWorldRun(b *testing.B) {
 	modes := []mpi.SchedulerMode{mpi.Serial, mpi.ConservativeParallel, mpi.OptimisticParallel}
 	for _, p := range []int{4, 8, 16} {

@@ -106,27 +106,29 @@
 // and seeds byte-identical, and a non-default scheduler hashes
 // distinctly.
 //
-// When does parallel-rank pay off? The conservative mode parallelizes
-// compute inside one world, so it wins on compute-dominated bodies with
-// many ranks — the BenchmarkWorldRun compute segment — while
-// communication-dominated workloads serialize at their commit points
-// anyway. That serialization is exactly what the optimistic mode attacks:
-// a ghost-exchange loop of specific-source receives never blocks on the
-// commit token (BenchmarkWorldRun's ghost variant), and speculative
-// collectives let collective-heavy bodies run ahead of the commit
-// automaton too (BenchmarkWorldRun's coll variant) — so prefer "opt" over
-// "par" when the body is communication-heavy with mostly specific-source
-// or collective traffic and few wildcards; heavy AnySource traffic with
-// genuine races costs rollbacks (watch SpecStats.Conflicts, and tighten
-// "-specwindow" so conflict-prone ranks throttle themselves), and pure
-// compute gains nothing over the conservative mode. Across-world
-// campaign parallelism (CampaignConfig.Workers) is the first lever: whole
-// scenarios are embarrassingly parallel. The two compose multiplicatively
-// (worlds x ranks); prefer campaign workers when the grid has many
-// scenarios, and add parallel ranks ("-rankmode"/"-rankpar" on
-// cmd/figures and cmd/pmmcase, or a SchedAxis grid dimension) when
-// individual worlds are
-// large or few. The SchedAxis/SchedModeAxis grid dimension is seed-inert
+// When does parallel-rank pay off? Measured by BenchmarkWorldRun on a
+// 2-CPU host (-count 3), against the serial scheduler:
+//
+//   - compute/p8: "par" and "opt" each about 1.7x faster — rank compute
+//     runs concurrently;
+//   - ghost/p8: "par" ties; "opt" is 20–25% slower (6.4 vs 5.2 ms);
+//   - wildcard/p8: "par" ties; "opt" is about 7.5x slower (4.8 vs
+//     0.65 ms), paying rollbacks for genuine AnySource races;
+//   - coll/p16: "par" is about 1.08x faster; "opt" about 1.33x faster
+//     (5.4 vs 7.3 ms), from speculative collectives.
+//
+// So the conservative mode is the choice for compute-dominated bodies
+// with many ranks; "opt" has a measured win only on collective-heavy
+// bodies, none on ghost exchanges. Under heavy AnySource traffic watch
+// SpecStats.Conflicts and tighten "-specwindow" so conflict-prone ranks
+// throttle themselves.
+//
+// Across-world campaign parallelism (CampaignConfig.Workers) is the first
+// lever: whole scenarios are embarrassingly parallel. The two compose
+// multiplicatively (worlds x ranks); prefer campaign workers when the
+// grid has many scenarios, and add parallel ranks ("-rankmode"/"-rankpar"
+// on cmd/figures and cmd/pmmcase, or a SchedAxis grid dimension) when
+// individual worlds are large or few. The SchedAxis/SchedModeAxis grid dimension is seed-inert
 // — scenarios differing only in scheduler share a derived seed — so a
 // grid can sweep serial vs the parallel modes and verify their
 // equivalence at scale (see examples/campaign).
@@ -154,6 +156,14 @@
 //     scenario's seed via DeriveSeed(base, key) so replications draw
 //     independent streams, and rejects duplicate axis names or value keys,
 //     which would silently alias scenario keys and checkpoint entries;
+//   - a replication whose seed provably cannot matter is not re-run: in a
+//     streaming grid (StreamSweepGrid) a States scenario's replications
+//     r>=1 wait on its r0 and, when r0's world drew no random numbers and
+//     the scheduler is not "opt" (whose spec row is wall-clock
+//     dependent), emit r0's rows under their own keys and return r0's
+//     fitted model — the exact bytes a full run would produce. Job keys,
+//     checkpoint hashes and outputs are unchanged; the flux kernels, whose
+//     patch contents are random, always run every replication;
 //   - unswept rank/net/cache axes contribute implicit single-valued
 //     defaults (key segments "p3", "base", "c512kB"), and any other
 //     unswept axis contributes nothing, so scenario keys, seeds and

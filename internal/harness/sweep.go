@@ -102,6 +102,11 @@ type SweepResult struct {
 	// byte-identical across scheduler modes, while Spec is wall-clock
 	// dependent under opt. SpecRow exposes it as one telemetry row.
 	Spec mpi.SpecStats
+
+	// draws is the world's random-number count (mpi.World.RandomDraws).
+	// Unexported, so it never enters a gob checkpoint: zero means the
+	// sweep's seed reached none of its points.
+	draws uint64
 }
 
 // sweepAspects are the patch tallness factors the sweep cycles through:
@@ -125,9 +130,12 @@ func blockShape(q int, a float64) (nx, ny int) {
 }
 
 // RunSweep measures the kernel through the full PMM stack (component,
-// proxy, Mastermind, TAU) on every rank. Patch contents vary per rank and
-// repetition — a randomized shock/interface crossing — so data-dependent
-// kernels (GodunovFlux's Newton iterations) show their real variance.
+// proxy, Mastermind, TAU) on every rank. For the data-dependent flux
+// kernels (GodunovFlux's Newton iterations, EFM) patch contents vary per
+// rank and repetition — a randomized shock/interface crossing — so they
+// show their real variance. A States sweep's cost depends only on the
+// patch shape, so its patches keep the problem's fixed crossing and the
+// sweep draws no random numbers: its points do not depend on the seed.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	if len(cfg.Sizes) == 0 || cfg.Reps <= 0 {
 		return nil, fmt.Errorf("harness: empty sweep")
@@ -166,11 +174,14 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 					}
 				}
 				for rep := 0; rep < cfg.Reps; rep++ {
-					// Fresh field contents per repetition: shock and
-					// interface at random positions inside the patch.
+					// Fresh field contents per repetition for the flux
+					// kernels: shock and interface at random positions
+					// inside the patch.
 					p := problem
-					p.ShockX = p.Lx * (0.15 + 0.5*rng.Float64())
-					p.InterfaceX = p.ShockX + p.Lx*(0.1+0.3*rng.Float64())
+					if cfg.Kernel != KernelStates {
+						p.ShockX = p.Lx * (0.15 + 0.5*rng.Float64())
+						p.InterfaceX = p.ShockX + p.Lx*(0.1+0.3*rng.Float64())
+					}
 					p.InitBlock(b, 0, 0, p.Lx/float64(nx), p.Ly/float64(ny))
 					b.FillBoundary(true, true, true, true)
 					for _, dir := range []euler.Dir{euler.X, euler.Y} {
@@ -222,6 +233,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		res.Points = append(res.Points, pts...)
 	}
 	res.Spec = w.SpecStats()
+	res.draws = w.RandomDraws()
 	return res, nil
 }
 

@@ -715,3 +715,50 @@ func TestNoiseAffectsArrival(t *testing.T) {
 		t.Errorf("network noise produced only %d distinct receive costs", len(distinct))
 	}
 }
+
+// TestRandomDrawsCountsEveryStream pins the world's draw accounting: a
+// collective under a noisy network draws from the shared collective-noise
+// stream (never from a rank's stream), a noisy send draws from the
+// sender's stream, and a world that makes no MPI call — or runs over a
+// noise-free network — draws nothing. The count is a property of the
+// simulation, so every scheduler reports the same one.
+func TestRandomDrawsCountsEveryStream(t *testing.T) {
+	for _, mode := range []SchedulerMode{Serial, ConservativeParallel, OptimisticParallel} {
+		run := func(cfg WorldConfig, body func(*Rank)) *World {
+			t.Helper()
+			cfg.Sched = mode
+			w := NewWorld(cfg)
+			if err := w.Run(body); err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		if n := run(DefaultConfig(), func(*Rank) {}).RandomDraws(); n != 0 {
+			t.Errorf("%s: world without MPI calls drew %d numbers, want 0", mode, n)
+		}
+		barrier := func(r *Rank) { r.Comm.Barrier() }
+		if n := run(testConfig(3), barrier).RandomDraws(); n != 0 {
+			t.Errorf("%s: barrier over a noise-free network drew %d numbers, want 0", mode, n)
+		}
+		noisy := run(DefaultConfig(), barrier)
+		for _, p := range noisy.Procs() {
+			if n := p.RNGDraws(); n != 0 {
+				t.Errorf("%s: barrier drew %d numbers from rank %d's stream, want 0", mode, n, p.Rank())
+			}
+		}
+		if n := noisy.RandomDraws(); n == 0 {
+			t.Errorf("%s: barrier under a noisy network reported no collective-noise draws", mode)
+		}
+		send := run(DefaultConfig(), func(r *Rank) {
+			switch r.Rank() {
+			case 0:
+				r.Comm.Send(1, 0, []float64{1})
+			case 1:
+				r.Comm.Recv(0, 0, make([]float64, 1))
+			}
+		})
+		if n := send.Procs()[0].RNGDraws(); n == 0 || send.RandomDraws() != n {
+			t.Errorf("%s: noisy send drew %d from the sender's stream, world total %d", mode, n, send.RandomDraws())
+		}
+	}
+}

@@ -438,6 +438,7 @@ type World struct {
 	colls      map[int]*collState
 	nextCommID int
 	rng        *rand.Rand
+	rngSrc     *platform.CountingSource // rng's source; counts collective-noise draws
 
 	panics []error
 
@@ -532,12 +533,13 @@ func NewWorld(cfg WorldConfig) *World {
 		mailboxes:  make(map[mailKey][]*message),
 		colls:      make(map[int]*collState),
 		nextCommID: 1,
-		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0x51ca5e)),
 		status:     make([]int, cfg.Procs),
 		blocked:    make([]func() bool, cfg.Procs),
 		blockedOn:  make([]blockDesc, cfg.Procs),
 		panics:     make([]error, cfg.Procs),
 	}
+	w.rngSrc = platform.NewCountingSource(cfg.Seed ^ 0x51ca5e)
+	w.rng = rand.New(w.rngSrc)
 	w.cond = sync.NewCond(&w.mu)
 	group := make([]int, cfg.Procs)
 	for i := range group {
@@ -618,6 +620,21 @@ func (w *World) Procs() []*platform.Proc {
 		out[i] = r.Proc
 	}
 	return out
+}
+
+// RandomDraws returns how many random numbers the world has drawn: every
+// rank's platform stream (point-to-point noise and anything the rank body
+// draws) plus the shared collective-noise stream. Call it after Run. Zero
+// means the world's seed reached none of its results, so a world that
+// differs only in its seed would reproduce them exactly.
+func (w *World) RandomDraws() uint64 {
+	w.mu.Lock()
+	n := w.rngSrc.Steps()
+	w.mu.Unlock()
+	for _, r := range w.ranks {
+		n += r.Proc.RNGDraws()
+	}
+	return n
 }
 
 // abortPanic is the sentinel thrown to unwind ranks parked inside MPI when

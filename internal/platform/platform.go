@@ -88,40 +88,48 @@ type Proc struct {
 	cpu   CPUModel
 	cache *cache.Cache
 	rng   *rand.Rand
-	src   *countingSource
+	src   *CountingSource
 
 	clock    Time
 	nextAddr uint64
 	fpOps    uint64
 }
 
-// countingSource wraps the standard random source and counts how many times
+// CountingSource wraps the standard random source and counts how many times
 // it has stepped. Because the generator is deterministic, the step count is
 // a complete checkpoint of the stream: rewinding rebuilds the source from
 // its seed and replays the recorded number of steps. Both Int63 and Uint64
 // advance the underlying generator exactly once, so replaying with Uint64
 // reproduces the state regardless of which method originally drew.
-type countingSource struct {
+type CountingSource struct {
 	seed  int64
 	src   rand.Source64
 	steps uint64
 }
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+// NewCountingSource returns a counting source over rand.NewSource(seed):
+// rand.New draws exactly the stream it would draw from the bare source.
+func NewCountingSource(seed int64) *CountingSource {
+	return &CountingSource{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
 }
 
-func (s *countingSource) Int63() int64 {
+// Steps returns how many times the source has stepped.
+func (s *CountingSource) Steps() uint64 { return s.steps }
+
+// Int63 implements rand.Source, counting the step.
+func (s *CountingSource) Int63() int64 {
 	s.steps++
 	return s.src.Int63()
 }
 
-func (s *countingSource) Uint64() uint64 {
+// Uint64 implements rand.Source64, counting the step.
+func (s *CountingSource) Uint64() uint64 {
 	s.steps++
 	return s.src.Uint64()
 }
 
-func (s *countingSource) Seed(seed int64) {
+// Seed implements rand.Source, restarting the count.
+func (s *CountingSource) Seed(seed int64) {
 	s.seed = seed
 	s.steps = 0
 	s.src.Seed(seed)
@@ -130,7 +138,7 @@ func (s *countingSource) Seed(seed int64) {
 // rewindTo restores the source to the state it had after n steps. n must not
 // exceed the current step count: a random stream can be rewound, never
 // fast-forwarded past draws that have not happened.
-func (s *countingSource) rewindTo(n uint64) {
+func (s *CountingSource) rewindTo(n uint64) {
 	if n > s.steps {
 		panic(fmt.Sprintf("platform: cannot advance RNG checkpoint from %d to %d steps", s.steps, n))
 	}
@@ -193,7 +201,7 @@ const baseAddr = 1 << 20
 // NewProc creates the execution context for one rank.
 // seed disambiguates the random streams of different ranks and runs.
 func NewProc(rank int, cpu CPUModel, cacheCfg cache.Config, seed int64) *Proc {
-	src := newCountingSource(seed ^ int64(rank)*0x5E3779B97F4A7C15)
+	src := NewCountingSource(seed ^ int64(rank)*0x5E3779B97F4A7C15)
 	return &Proc{
 		rank:     rank,
 		cpu:      cpu,
@@ -215,6 +223,10 @@ func (p *Proc) Cache() *cache.Cache { return p.cache }
 
 // RNG returns the rank's deterministic random stream.
 func (p *Proc) RNG() *rand.Rand { return p.rng }
+
+// RNGDraws returns how many times the rank's random stream has stepped.
+// Zero means nothing the rank simulated depended on its seed.
+func (p *Proc) RNGDraws() uint64 { return p.src.Steps() }
 
 // Now returns the current virtual time in microseconds.
 func (p *Proc) Now() Time { return p.clock }
